@@ -50,6 +50,7 @@ from repro.engine.instance import InstanceState, ProcessInstance, TokenState
 from repro.engine.jobs import JobScheduler
 from repro.engine.metrics import EngineMetrics
 from repro.engine.migration import MigrationPlan, apply_migration
+from repro.engine.waits import MessageWait, MessageWaits
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
 from repro.model.process import ProcessDefinition
@@ -194,7 +195,7 @@ class ProcessEngine:
         self._definitions: dict[str, ProcessDefinition] = {}
         self._latest_version: dict[str, int] = {}
         self._instances: dict[str, ProcessInstance] = {}
-        self._message_waits: list[dict[str, Any]] = []
+        self._message_waits = MessageWaits()
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
         self._instance_seq = 0
         self._dirty: set[str] = set()
@@ -208,11 +209,10 @@ class ProcessEngine:
         self._by_business_key: dict[str, dict[str, None]] = {}
         self._creation_order: dict[str, int] = {}
         # incremental-persistence bookkeeping: the commit policy, the
-        # batch() nesting depth, whether the message-wait list changed,
-        # and the last instance_seq written to engine/meta
+        # batch() nesting depth, and the last instance_seq written to
+        # engine/meta (message waits track their own changes)
         self._commit_interval = max(1, int(commit_interval))
         self._batch_depth = 0
-        self._waits_dirty = False
         self._persisted_seq = 0
         # asynchronous service execution (see repro.workers): the pending-
         # invocation table is the at-least-once ledger — records are
@@ -331,7 +331,7 @@ class ProcessEngine:
 
     def _has_pending_dirty(self) -> bool:
         """Whether any state changed since the last flush (log trigger)."""
-        if self._dirty or self._waits_dirty:
+        if self._dirty or self._message_waits.has_changes:
             return True
         if self._instance_seq != self._persisted_seq:
             return True
@@ -1124,48 +1124,33 @@ class ProcessEngine:
         target shard before publishing anywhere.
         """
         best = "none"
-        for wait in self._message_waits:
-            if wait["name"] != name:
-                continue
-            if (
-                not wait.get("match_any")
-                and wait.get("correlation") != correlation
-            ):
-                continue
-            instance = self._instances.get(wait["instance_id"])
+        for wait in self._message_waits.candidates(name, correlation):
+            instance = self._instances.get(wait.instance_id)
             if instance is None or instance.state.is_finished:
                 continue
             if instance.state is not InstanceState.RUNNING:
                 best = "wait"
                 continue
-            token = instance.token(wait["token_id"])
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
                 continue
             return "deliver"
         return best
 
     def _on_bus_message(self, message: Message) -> bool:
-        for wait in list(self._message_waits):
-            if wait["name"] != message.name:
-                continue
-            if (
-                not wait.get("match_any")
-                and wait.get("correlation") != message.correlation
-            ):
-                continue
-            instance = self._instances.get(wait["instance_id"])
+        waits = self._message_waits
+        for wait in waits.candidates(message.name, message.correlation):
+            instance = self._instances.get(wait.instance_id)
             if instance is None or instance.state.is_finished:
-                self._message_waits.remove(wait)
-                self._waits_dirty = True
+                waits.discard(wait)
                 continue
             if instance.state is not InstanceState.RUNNING:
                 # suspended: keep the subscription, let the message be
                 # retained for delivery after resume
                 continue
-            token = instance.token(wait["token_id"])
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
-                self._message_waits.remove(wait)
-                self._waits_dirty = True
+                waits.discard(wait)
                 continue
             self._deliver_to_wait(instance, token, wait, message.payload)
             return True
@@ -1175,17 +1160,16 @@ class ProcessEngine:
         self,
         instance: ProcessInstance,
         token,
-        wait: dict[str, Any],
+        wait: MessageWait,
         payload: dict[str, Any],
     ) -> None:
         definition = self._definition_of(instance)
         self.metrics.messages_delivered += 1
-        if "race_event" in wait:
+        if wait.race_event is not None:
             core.deliver_race_message(self, instance, definition, token, wait, payload)
         else:
-            self._message_waits.remove(wait)
-            self._waits_dirty = True
-            node = definition.node(wait["node_id"])
+            self._message_waits.discard(wait)
+            node = definition.node(wait.node_id)
             core.apply_message(self, instance, node, payload)
             token.waiting_on = {}
             core.move_through(
@@ -1194,21 +1178,19 @@ class ProcessEngine:
                 definition,
                 token,
                 node,
-                is_activity=wait.get("is_activity", True),
+                is_activity=wait.is_activity,
             )
             core.advance(self, instance)
 
     def _redeliver_retained(self, instance: ProcessInstance) -> None:
         """Match bus-retained messages against this instance's waits
         (used after resume, when deliveries were deferred)."""
-        for wait in [
-            w for w in self._message_waits if w["instance_id"] == instance.id
-        ]:
-            token = instance.token(wait["token_id"])
+        for wait in self._message_waits.of_instance(instance.id):
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
                 continue
             message = self.bus.consume_retained(
-                wait["name"], wait.get("correlation"), wait.get("match_any", False)
+                wait.name, wait.correlation, wait.match_any
             )
             if message is not None:
                 self._deliver_to_wait(instance, token, wait, message.payload)
@@ -1636,7 +1618,7 @@ class ProcessEngine:
             or self._dead_letters_dirty
             or self._dead_letters_removed
             or self._outbox_dirty
-            or self._waits_dirty
+            or self._message_waits.has_changes
             or self._instance_seq != self._persisted_seq
             or self._invocation_seq != self._persisted_invocation_seq
             or self._outbox_seq != self._persisted_outbox_seq
@@ -1648,12 +1630,14 @@ class ProcessEngine:
         Per-record layout: dirty instances to ``instance/<id>``, changed
         jobs to ``jobs/<id>`` (fired/cancelled ones deleted), changed work
         items to ``workitem/<id>``, new dispatch-log entries to
-        ``dispatch/<seq>`` (pruned ones deleted); ``engine/message_waits``
-        and ``engine/meta`` only when they actually changed.  Writes
-        nothing — not even an empty transaction — when nothing is dirty.
-        Honours the commit policy: inside :meth:`batch` or below
-        ``commit_interval`` pending records the flush is deferred (unless
-        ``force``).
+        ``dispatch/<seq>`` (pruned ones deleted), new message waits to
+        ``msgwait/<seq:010d>`` (delivered or released ones deleted, and an
+        old-layout ``engine/message_waits`` list deleted once, see
+        :mod:`repro.engine.waits`), and ``engine/meta`` only when a
+        sequence moved.  Writes nothing — not even an empty transaction —
+        when nothing is dirty.  Honours the commit policy: inside
+        :meth:`batch` or below ``commit_interval`` pending records the
+        flush is deferred (unless ``force``).
         """
         if self._batch_depth > 0 and not force:
             return
@@ -1682,7 +1666,7 @@ class ProcessEngine:
             + len(removed_dead)
             + len(self._outbox_dirty)
             + len(removed_outbox)
-            + (1 if self._waits_dirty else 0)
+            + self._message_waits.pending_records()
             + (1 if meta_dirty else 0)
         )
         views_relevant = self.views is not None and bool(
@@ -1772,8 +1756,7 @@ class ProcessEngine:
                     )
             for outbox_seq in sorted(removed_outbox):
                 self.store.delete(f"outbox/{outbox_seq:010d}")
-            if self._waits_dirty:
-                self.store.put("engine/message_waits", list(self._message_waits))
+            self._message_waits.write(self.store)
             if meta_dirty:
                 self.store.put(
                     "engine/meta",
@@ -1809,7 +1792,7 @@ class ProcessEngine:
         self._dead_letters_removed.clear()
         self._outbox_dirty.clear()
         self._outbox_removed.clear()
-        self._waits_dirty = False
+        self._message_waits.clear_changes()
         self._persisted_seq = self._instance_seq
         self._persisted_invocation_seq = self._invocation_seq
         self._persisted_outbox_seq = self._outbox_seq
@@ -1830,7 +1813,12 @@ class ProcessEngine:
         Definitions, instances, pending jobs, work items, message waits,
         and the dispatch log (with its idempotency keys) are restored;
         services and resources must be re-registered by the host
-        application (code is not persisted).  Returns counts per category.
+        application (code is not persisted).  Message waits load from
+        their ``msgwait/<seq>`` records in ``seq`` order, rebuilding the
+        match index; a leftover ``engine/message_waits`` list from an
+        older store is imported after them (``seq`` in list order) and
+        rewritten as records by the next flush.  Work-item queue lengths
+        are recounted by ``import_items``.  Returns counts per category.
         """
         counts = {
             "definitions": 0,
@@ -1875,7 +1863,7 @@ class ProcessEngine:
             self.worklist.import_items(legacy_items)
         self.worklist.import_items([raw for _, raw in self.store.scan("workitem/")])
         counts["workitems"] = len(self.worklist.items())
-        self._message_waits = list(self.store.get("engine/message_waits", []))
+        self._message_waits = MessageWaits.load(self.store)
         meta = self.store.get("engine/meta", {})
         self._instance_seq = max(meta.get("instance_seq", 0), self._instance_seq)
         self._persisted_seq = self._instance_seq

@@ -76,6 +76,11 @@ class WorklistService:
         # escalation reoffers don't close items, so no other transition
         # moves it
         self._open_count = 0
+        # open items per resource they are allocated to, kept by the same
+        # transitions that move an item in or out of a queue (allocate,
+        # claim, delegate, escalation reoffer, complete, cancel), so that
+        # every allocation reads it without a scan of all items
+        self._queue_counts: dict[str, int] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -156,6 +161,7 @@ class WorklistService:
         else:
             item.offer(now)
             item.allocate(chosen.id, now)
+            self._requeue(None, item)
             self._record(item, EventTypes.WORKITEM_ALLOCATED, resource=chosen.id)
 
     # -- queries ----------------------------------------------------------------
@@ -207,12 +213,24 @@ class WorklistService:
         return sorted(visible, key=lambda i: (-i.priority, i.created_at))
 
     def queue_lengths(self) -> dict[str, int]:
-        """Open (non-terminal) item count per resource."""
-        lengths: dict[str, int] = {}
-        for item in self._items.values():
-            if item.allocated_to and not item.state.is_terminal:
-                lengths[item.allocated_to] = lengths.get(item.allocated_to, 0) + 1
-        return lengths
+        """Open (non-terminal) item count per resource (a copy; no scan)."""
+        return dict(self._queue_counts)
+
+    def _requeue(self, before: str | None, item: WorkItem) -> None:
+        """Move one count from queue ``before`` (the resource holding
+        ``item`` before a transition, or None) to the one holding it now."""
+        after = _holder(item)
+        if after == before:
+            return
+        counts = self._queue_counts
+        if before is not None:
+            left = counts[before] - 1
+            if left:
+                counts[before] = left
+            else:
+                del counts[before]
+        if after is not None:
+            counts[after] = counts.get(after, 0) + 1
 
     # -- lifecycle operations ------------------------------------------------------
 
@@ -236,7 +254,9 @@ class WorklistService:
                     f"resource {resource_id!r} is excluded from {item_id!r} "
                     "(separation of duties)"
                 )
+            before = _holder(item)
             item.allocate(resource_id, self.clock.now())
+            self._requeue(before, item)
             self._dirty.add(item.id)
             self._record(item, EventTypes.WORKITEM_ALLOCATED, resource=resource_id)
             return item
@@ -245,7 +265,9 @@ class WorklistService:
         """Return an allocated item to its role queue."""
         with self._lock:
             item = self.item(item_id)
+            before = _holder(item)
             item.reoffer(self.clock.now())
+            self._requeue(before, item)
             self._dirty.add(item.id)
             self._record(item, EventTypes.WORKITEM_OFFERED, delegated=True)
             return item
@@ -265,7 +287,9 @@ class WorklistService:
         """Finish an item; fires completion listeners (the engine resumes)."""
         with self._lock:
             item = self.item(item_id)
+            before = _holder(item)
             item.complete(result, self.clock.now())
+            self._requeue(before, item)
             self._dirty.add(item.id)
             self._open_count -= 1
             if self._g_open is not None:
@@ -287,7 +311,9 @@ class WorklistService:
         """Withdraw a live item (engine calls this on interrupts)."""
         with self._lock:
             item = self.item(item_id)
+            before = _holder(item)
             item.cancel(self.clock.now())
+            self._requeue(before, item)
             self._dirty.add(item.id)
             self._open_count -= 1
             if self._g_open is not None:
@@ -327,7 +353,9 @@ class WorklistService:
                 item.due_at = None  # one escalation per deadline
                 self._dirty.add(item.id)
                 if item.state is WorkItemState.ALLOCATED:
+                    before = _holder(item)
                     item.reoffer(now)
+                    self._requeue(before, item)
                 self._record(
                     item, EventTypes.WORKITEM_ESCALATED, new_priority=item.priority
                 )
@@ -362,9 +390,12 @@ class WorklistService:
         for raw in raw_items:
             item = WorkItem.from_dict(raw)
             self._items[item.id] = item
-        self._open_count = sum(
-            1 for item in self._items.values() if not item.state.is_terminal
-        )
+        self._open_count = 0
+        self._queue_counts = {}
+        for item in self._items.values():
+            if not item.state.is_terminal:
+                self._open_count += 1
+                self._requeue(None, item)
         # keep generated ids unique after recovery: the counter is the
         # trailing segment (``wi-7`` and namespaced ``wi-s2-7`` alike)
         numeric = [
@@ -374,3 +405,10 @@ class WorklistService:
         ]
         if numeric:
             self._id_counter = itertools.count(max(numeric) + 1)
+
+
+def _holder(item: WorkItem) -> str | None:
+    """The resource whose queue counts ``item``: its allocatee while open."""
+    if item.state.is_terminal:
+        return None
+    return item.allocated_to or None

@@ -133,7 +133,7 @@ class TestParallelRaces:
         assert instance.state is InstanceState.COMPLETED
         # all losing subscriptions cleaned up
         assert len(engine.scheduler) == 0
-        assert engine._message_waits == []
+        assert len(engine._message_waits) == 0
 
 
 class TestMigrationInteractions:

@@ -152,15 +152,22 @@ class TestIncrementalWrites:
             .build()
         )
         engine.deploy(model)
-        engine.start_instance("msg", {"key": "k1"})
-        assert store.get("engine/message_waits")
         store.reset_counts()
-        # unrelated traffic must not rewrite the waits blob
+        # registering a wait puts exactly one record of its own
+        engine.start_instance("msg", {"key": "k1"})
+        wait_puts = [k for k in store.put_keys if k.startswith("msgwait/")]
+        assert len(wait_puts) == 1
+        assert store.keys("msgwait/") == wait_puts
+        assert "engine/message_waits" not in store
+        store.reset_counts()
+        # unrelated traffic must not touch any wait record
         engine.deploy(approval_model())
         engine.start_instance("approval")
-        assert "engine/message_waits" not in store.put_keys
+        assert not [k for k in store.put_keys if k.startswith("msgwait/")]
+        assert store.deletes == 0
+        # delivery deletes the record
         engine.correlate_message("go", "k1", {})
-        assert store.get("engine/message_waits") == []
+        assert store.keys("msgwait/") == []
 
 
 class TestCommitPolicies:
