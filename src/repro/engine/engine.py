@@ -30,6 +30,7 @@ thin command constructors; node semantics live in
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any, Callable
 
 from repro.clock import Clock, VirtualClock, WallClock
@@ -252,7 +253,7 @@ class ProcessEngine:
         self.worklist.bind_lock(self._dispatch_lock)
         self.bus.bind_lock(self._dispatch_lock)
         self._dedup: dict[str, dict[str, Any]] = {}
-        self._dispatch_log: list[dict[str, Any]] = []
+        self._dispatch_log: deque[dict[str, Any]] = deque()
         self._dispatch_seq = 0
         self._dispatch_log_retention = max(1, int(dispatch_log_retention))
         self._dispatch_dirty: set[int] = set()
@@ -317,7 +318,7 @@ class ProcessEngine:
         self._dispatch_log.append(record)
         self._dispatch_dirty.add(record["seq"])
         while len(self._dispatch_log) > self._dispatch_log_retention:
-            old = self._dispatch_log.pop(0)
+            old = self._dispatch_log.popleft()
             seq = old["seq"]
             if seq in self._dispatch_dirty:
                 self._dispatch_dirty.discard(seq)  # never reached the store
@@ -1708,6 +1709,9 @@ class ProcessEngine:
             if self.obs.enabled
             else None
         )
+        # the history batch is written first: a killed process never
+        # leaves committed state whose history was not at least written
+        self.history.store.commit()
         with self.store.transaction():
             for instance_id in sorted(self._dirty):
                 instance = self._instances.get(instance_id)
@@ -1914,7 +1918,9 @@ class ProcessEngine:
             (raw for _, raw in self.store.scan("dispatch/")),
             key=lambda r: r.get("seq", 0),
         )
-        self._dispatch_log = log[max(0, len(log) - self._dispatch_log_retention):]
+        self._dispatch_log = deque(
+            log[max(0, len(log) - self._dispatch_log_retention):]
+        )
         if log:
             self._dispatch_seq = max(self._dispatch_seq, log[-1].get("seq", 0))
         for record in self._dispatch_log:

@@ -10,26 +10,38 @@ the original attribute API (``metrics.instances_started += 1``,
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 _NODE_PREFIX = "engine.nodes_executed."
 
 
 def _counter_property(metric_name: str):
     def _get(self: "EngineMetrics") -> int:
-        return self.registry.counter(metric_name).value
+        return self._bind(metric_name).value
 
     def _set(self: "EngineMetrics", value: int) -> None:
-        self.registry.counter(metric_name).value = value
+        self._bind(metric_name).value = value
 
     return property(_get, _set)
 
 
 class EngineMetrics:
-    """Monotone counters over one engine's lifetime (registry-backed)."""
+    """Monotone counters over one engine's lifetime (registry-backed).
+
+    Each counter is looked up in the registry on first use and bound
+    from then on; node counters are bumped on every node execution.
+    """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._bound: dict[str, Counter] = {}
+        self._node_counters: dict[str, Counter] = {}
+
+    def _bind(self, metric_name: str) -> Counter:
+        counter = self._bound.get(metric_name)
+        if counter is None:
+            counter = self._bound[metric_name] = self.registry.counter(metric_name)
+        return counter
 
     instances_started = _counter_property("engine.instances_started")
     instances_completed = _counter_property("engine.instances_completed")
@@ -40,7 +52,12 @@ class EngineMetrics:
     migrations = _counter_property("engine.migrations")
 
     def count_node(self, type_name: str) -> None:
-        self.registry.counter(_NODE_PREFIX + type_name).inc()
+        counter = self._node_counters.get(type_name)
+        if counter is None:
+            counter = self._node_counters[type_name] = self.registry.counter(
+                _NODE_PREFIX + type_name
+            )
+        counter.value += 1
 
     @property
     def nodes_executed(self) -> dict[str, int]:

@@ -5,6 +5,26 @@ change as an event.  Events are grouped into *streams* (one per process
 instance) and globally sequenced.  The store is backed by a
 :class:`~repro.storage.journal.Journal` when given a path, or kept purely
 in memory otherwise.
+
+Writes are grouped.  :meth:`EventStore.append` only sequences and indexes
+the event in memory; :meth:`EventStore.commit` writes every event
+appended since the last commit as **one** journal record and hands it to
+the OS (no fsync)::
+
+    {"first": <sequence of the first row>,
+     "rows": [[stream, type, timestamp, data], ...]}
+
+A row's sequence is ``first`` plus its position.  The engine commits the
+history once per store commit, just before the store transaction, so
+committed engine state never lacks its written history.  :meth:`sync`
+and :meth:`close` commit the tail and then fsync; ``sync_writes=True``
+syncs on every append, so each event is durable when ``append`` returns.
+A torn final record costs that whole batch, never an earlier one.
+
+Logs written before batching hold one event dict per record
+(``{"sequence", "stream", "type", "timestamp", "data"}``); replay reads
+both layouts, so such a log still opens and new batches number on from
+its last event.
 """
 
 from __future__ import annotations
@@ -63,6 +83,8 @@ class EventStore:
         self._events: list[EventRecord] = []
         self._streams: dict[str, list[int]] = {}
         self._journal: Journal | None = None
+        #: events before this sequence are written to the journal
+        self._committed = 0
         self.sync_writes = sync_writes
         self._obs = obs
         self._h_append = None if obs is None else obs.registry.histogram(
@@ -71,8 +93,18 @@ class EventStore:
         if path is not None:
             self._journal = Journal(path, obs=obs)
             for record in self._journal.replay():
-                event = EventRecord.from_dict(json_decode(record.payload))
-                self._index(event)
+                self._load(json_decode(record.payload))
+            self._committed = len(self._events)
+
+    def _load(self, raw: dict[str, Any]) -> None:
+        """Index one replayed journal record of either layout."""
+        if "rows" not in raw:  # one event per record (pre-batch layout)
+            self._index(EventRecord.from_dict(raw))
+            return
+        sequence = raw["first"]
+        for stream, event_type, timestamp, data in raw["rows"]:
+            self._index(EventRecord(sequence, stream, event_type, timestamp, data))
+            sequence += 1
 
     def _index(self, event: EventRecord) -> None:
         if event.sequence != len(self._events):
@@ -92,7 +124,11 @@ class EventStore:
         timestamp: float,
         data: dict[str, Any] | None = None,
     ) -> EventRecord:
-        """Append one event; returns the sequenced record."""
+        """Append one event; returns the sequenced record.
+
+        The event is indexed in memory and written by the next
+        :meth:`commit` (at once, and fsynced, under ``sync_writes``).
+        """
         if not stream or not event_type:
             raise StorageError("stream and event_type must be non-empty")
         started = time.perf_counter() if self._h_append is not None else 0.0
@@ -103,15 +139,36 @@ class EventStore:
             timestamp=timestamp,
             data=dict(data or {}),
         )
-        if self._journal is not None:
-            self._journal.append(json_encode(event.to_dict()), sync=self.sync_writes)
         self._index(event)
+        if self.sync_writes:
+            self.sync()
         if self._h_append is not None:
             self._h_append.observe(time.perf_counter() - started)
         return event
 
+    def commit(self) -> None:
+        """Write the events appended since the last commit as one journal
+        record and hand it to the OS (no fsync; see :meth:`sync`).
+
+        Writes nothing when no event is pending or the store is in
+        memory.  An event whose data is not JSON-serializable raises
+        :class:`StorageError` and keeps its batch pending.
+        """
+        first = self._committed
+        if first == len(self._events):
+            return
+        if self._journal is not None:
+            rows = [
+                [e.stream, e.type, e.timestamp, e.data]
+                for e in self._events[first:]
+            ]
+            self._journal.append(json_encode({"first": first, "rows": rows}))
+            self._journal.flush()
+        self._committed = len(self._events)
+
     def sync(self) -> None:
-        """Fsync buffered events when journal-backed."""
+        """Commit pending events and fsync them when journal-backed."""
+        self.commit()
         if self._journal is not None:
             self._journal.sync()
 
@@ -141,6 +198,7 @@ class EventStore:
         return self._events[sequence:]
 
     def close(self) -> None:
-        """Close the backing journal, if any."""
+        """Commit pending events and close the backing journal, if any."""
         if self._journal is not None:
+            self.commit()
             self._journal.close()

@@ -12,10 +12,13 @@ Properties:
   body is incomplete or whose CRC fails *at the tail*; the file is truncated
   to the last good record on open, so a crash mid-append never corrupts
   recovery.
-* **group commit** — ``append`` buffers; ``sync`` flushes+fsyncs once for
-  all buffered records.  ``append(..., sync=True)`` is the single-record
-  durable path.  Experiment F4 measures the batch-size/throughput shape
-  this design gives.
+* **group commit** — ``append`` buffers; ``flush`` hands the buffered
+  records to the OS without an fsync (they survive a killed process, not
+  a power loss); ``sync`` flushes+fsyncs once for all buffered records.
+  ``append(..., sync=True)`` is the single-record durable path.
+  Experiment F4 measures the batch-size/throughput shape this design
+  gives.  The event store (:mod:`repro.storage.eventstore`) appends one
+  record per engine commit and flushes it.
 """
 
 from __future__ import annotations
@@ -114,6 +117,12 @@ class Journal:
             self.sync()
         return offsets
 
+    def flush(self) -> None:
+        """Hand buffered records to the OS without an fsync."""
+        if self._file.closed:
+            raise StorageError("journal is closed")
+        self._file.flush()
+
     def sync(self) -> None:
         """Flush buffered records and fsync the file."""
         if self._file.closed:
@@ -154,8 +163,10 @@ class Journal:
         of the log (data loss); a torn tail (crash artifact) ends iteration
         but is surfaced via :attr:`torn_tail_offset` and the
         ``storage.journal.torn_tails`` counter rather than swallowed.
+        A closed journal reads the file back as it was left.
         """
-        self._file.flush()
+        if not self._file.closed:
+            self._file.flush()
         self.torn_tail_offset = None
         with open(self.path, "rb") as reader:
             file_size = os.fstat(reader.fileno()).st_size

@@ -316,6 +316,10 @@ class TestEngineMetricsFacade:
         assert engine.obs.registry.counter("engine.migrations").value == 1
         engine.obs.registry.counter("engine.migrations").inc()
         assert engine.metrics.migrations == 2
+        engine.metrics.count_node("Probe")
+        engine.obs.registry.counter("engine.nodes_executed.Probe").inc()
+        engine.metrics.count_node("Probe")
+        assert engine.metrics.nodes_executed["Probe"] == 3
 
     def test_standalone_metrics_need_no_registry(self):
         from repro.engine.metrics import EngineMetrics

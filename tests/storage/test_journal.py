@@ -53,6 +53,28 @@ class TestAppendReplay:
         with pytest.raises(StorageError):
             journal.sync()
 
+    def test_flush_after_close_raises(self, journal_path):
+        journal = Journal(journal_path)
+        journal.close()
+        with pytest.raises(StorageError, match="journal is closed"):
+            journal.flush()
+
+    def test_replay_after_close_reads_the_file(self, journal_path):
+        """Regression: this used to raise ``ValueError: flush of closed file``."""
+        journal = Journal(journal_path)
+        journal.append(b"one")
+        journal.append(b"two")
+        journal.close()
+        assert [r.payload for r in journal.replay()] == [b"one", b"two"]
+
+    def test_flush_hands_records_to_the_os_without_sync(self, journal_path):
+        with Journal(journal_path) as journal:
+            journal.append(b"abc")
+            assert os.path.getsize(journal_path) == 0  # still buffered
+            journal.flush()
+            assert os.path.getsize(journal_path) == 8 + 3
+            assert journal.pending_records == 1  # flushed, not fsynced
+
     def test_pending_counter(self, journal_path):
         with Journal(journal_path) as journal:
             journal.append(b"a")
